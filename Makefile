@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# Full verification: static analysis plus the test suite under the race
+# Full verification: a gofmt gate (fails listing any unformatted file),
+# static analysis plus the test suite under the race
 # detector, a 1-iteration smoke run of the tracked bulk benchmarks so the
 # suite can't rot, the replica-repair convergence scenario (kill a
 # replica mid-workload, heal, assert digests converge with zero lost
@@ -22,6 +23,8 @@ test:
 # reads, hedged p99 bounded), and the docs-vs-code identifier check. This
 # is what CI should run.
 check:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -bench Bulk -benchtime 1x ./internal/bulkbench

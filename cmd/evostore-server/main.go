@@ -95,8 +95,8 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/placement"
-	"repro/internal/provider"
 	"repro/internal/proto"
+	"repro/internal/provider"
 	"repro/internal/resilient"
 	"repro/internal/rpc"
 )

@@ -91,6 +91,10 @@ type Client struct {
 	repairMu    sync.Mutex
 	repairQ     []RepairTarget
 	repairSeen  map[ownermap.ModelID]bool
+	// writeGate is held shared by a mutation from resolving its write set
+	// until its fan-out finishes, and exclusively by SetPlacementState
+	// while it swaps the view (see there for why).
+	writeGate sync.RWMutex
 
 	deltaRatio    float64 // WithDedup: max envelope/raw ratio worth storing; 0 disables delta writes
 	deltaMaxDepth int     // WithDedup: delta-chain bound; writes at the bound rebase to raw

@@ -35,12 +35,20 @@ func (c *Client) PlacementTable() *placement.Table { return c.place.Load().Cur }
 // validating it. The rebalancer uses this to drive the arm → commit
 // transitions, including the same-epoch dual→single commit that the
 // monotone installState rule below would treat specially.
+//
+// The swap waits for this client's in-flight mutations to finish, and
+// mutations that start after it route by the new view. Without that, a
+// store that resolved its replica set just before the arm could land
+// after the rebalancer listed the models to migrate: it would reach only
+// the old owners, and the joining replica would never receive it.
 func (c *Client) SetPlacementState(cur, prev *placement.Table) error {
 	st := &placement.State{Cur: cur, Prev: prev}
 	if err := c.checkState(st); err != nil {
 		return err
 	}
+	c.writeGate.Lock()
 	c.place.Store(st)
+	c.writeGate.Unlock()
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/kvstore"
@@ -351,5 +352,69 @@ func TestReadOrderAllBreakersOpen(t *testing.T) {
 	cli = New(conns, WithReplicas(3), WithRegistry(metrics.NewRegistry()))
 	if got := cli.readOrder(6); !reflect.DeepEqual(got, []int{3, 0, 2}) {
 		t.Errorf("mixed health: readOrder(6) = %v, want [3 0 2]", got)
+	}
+}
+
+// storeGate parks store_model calls until gate is closed, signalling
+// entered as each one arrives. Every other RPC passes straight through.
+type storeGate struct {
+	rpc.Conn
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *storeGate) Call(ctx context.Context, name string, req rpc.Message) (rpc.Message, error) {
+	if name == proto.RPCStoreModel {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return g.Conn.Call(ctx, name, req)
+}
+
+// TestPlacementSwapWaitsForInflightWrites: SetPlacementState must not
+// return while a mutation that resolved its replica set under the old view
+// is still on the wire. A migration lists the models to move right after
+// the swap; a store landing after that listing would reach only the old
+// owners and never the joining replica.
+func TestPlacementSwapWaitsForInflightWrites(t *testing.T) {
+	net := rpc.NewInprocNet()
+	p := provider.New(0, kvstore.NewMemKV(8))
+	srv := rpc.NewServer()
+	p.Register(srv)
+	if err := net.Listen("p0", srv); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("p0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &storeGate{Conn: raw, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	cli := New([]rpc.Conn{g}, WithRegistry(metrics.NewRegistry()))
+
+	f := flatten(t, 4)
+	stored := make(chan error, 1)
+	go func() {
+		stored <- cli.Store(context.Background(), metaFor(f, 7, 7, 0.5), segsFor(f, model.Materialize(f, 7)))
+	}()
+	<-g.entered // the store has resolved its replica set and is in flight
+
+	swapped := make(chan error, 1)
+	go func() { swapped <- cli.SetPlacementState(cli.PlacementTable(), nil) }()
+	// A swap that does not wait completes well within this pause.
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case <-swapped:
+		t.Fatal("placement swap returned while a store routed by the old view was in flight")
+	default:
+	}
+	close(g.gate)
+	if err := <-swapped; err != nil {
+		t.Fatal(err)
+	}
+	if !p.Digest(7).Present {
+		t.Error("placement swap returned before the in-flight store landed")
+	}
+	if err := <-stored; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -304,8 +304,10 @@ func (e *PartialMutateError) Transient() bool {
 // independently and a re-fanned leg can never double-apply.
 func (c *Client) mutateCall(ctx context.Context, name string, id ownermap.ModelID, req rpc.Message) (rpc.Message, error) {
 	for attempt := 0; ; attempt++ {
+		c.writeGate.RLock()
 		st := c.place.Load()
 		resp, err := c.mutateOnce(ctx, name, id, st, req)
+		c.writeGate.RUnlock()
 		if err == nil {
 			return resp, nil
 		}

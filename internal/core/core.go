@@ -596,21 +596,13 @@ func (r *Repository) TransferPrefix(ctx context.Context, f *model.Flat, ws model
 		if err := ws.DecodeVertexInto(f, v, segs[v]); err != nil {
 			return fmt.Errorf("core: installing transferred vertex %d: %w", v, err)
 		}
-		anc.prefixFPs[v] = vertexFP(ws, v)
+		anc.prefixFPs[v] = ws.VertexFingerprint(v)
 		if r.dedupOn {
 			anc.prefixSegs[v] = segs[v]
 			anc.prefixDepths[v] = depths[v]
 		}
 	}
 	return nil
-}
-
-func vertexFP(ws model.WeightSet, v graph.VertexID) uint64 {
-	var fp uint64
-	for _, t := range ws[v] {
-		fp = fp*0x100000001b3 + t.Fingerprint()
-	}
-	return fp
 }
 
 // StoreDerived publishes a model derived from anc. frozen lists the prefix
@@ -627,7 +619,7 @@ func (r *Repository) StoreDerived(ctx context.Context, f *model.Flat, ws model.W
 			return 0, fmt.Errorf("core: automatic diff requires TransferPrefix before StoreDerived")
 		}
 		for _, v := range anc.Prefix {
-			if vertexFP(ws, v) == anc.prefixFPs[v] {
+			if ws.VertexFingerprint(v) == anc.prefixFPs[v] {
 				frozen = append(frozen, v)
 			}
 		}
@@ -697,6 +689,9 @@ func (r *Repository) Load(ctx context.Context, id ModelID) (*proto.ModelMeta, mo
 	if err != nil {
 		return nil, nil, err
 	}
+	// The tensors are cloned out of the segments below, so the pooled
+	// receive frames behind them go back to the transport on return.
+	defer data.Release()
 	ws := make(model.WeightSet, len(data.Segments))
 	for v, seg := range data.Segments {
 		ts, err := tensor.DecodeSet(seg)

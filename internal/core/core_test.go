@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/graph"
 	"repro/internal/kvstore"
 	"repro/internal/model"
@@ -188,6 +189,57 @@ func TestAutoDiffDetectsTrainedVertices(t *testing.T) {
 		if (e.Owner == childID) != wantChild {
 			t.Errorf("vertex %d owner = %d (child=%d)", v, e.Owner, childID)
 		}
+	}
+}
+
+// A one-bit flip in any single tensor of a prefix vertex makes automatic
+// diffing treat exactly that vertex as modified: it is owned by the new
+// model, while every other prefix vertex stays inherited from the root.
+func TestAutoDiffDetectsOneBitFlip(t *testing.T) {
+	repo := openRepo(t, 2)
+	ctx := context.Background()
+	f := mlp(t, 4, 8, 4)
+	rootID, err := repo.Store(ctx, f, model.Materialize(f, 1), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anc, found, err := repo.BestAncestor(ctx, f)
+	if err != nil || !found || anc.Meta.Model != rootID {
+		t.Fatalf("ancestor: %v found=%v", err, found)
+	}
+	flips := 0
+	for _, v := range anc.Prefix {
+		for i := range f.Leaves[v].Specs {
+			ws := model.Materialize(f, 2)
+			if err := repo.TransferPrefix(ctx, f, ws, anc); err != nil {
+				t.Fatal(err)
+			}
+			tt := ws[v][i]
+			bit := (int(v)*131 + i*17) % (8 * len(tt.Data))
+			tt.Data[bit/8] ^= 1 << (bit % 8)
+			childID, err := repo.StoreDerived(ctx, f, ws, 0.6, anc, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := repo.GetMeta(ctx, childID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range anc.Prefix {
+				want := rootID
+				if u == v {
+					want = childID
+				}
+				if e, _ := meta.OwnerMap.OwnerOf(u); e.Owner != want {
+					t.Errorf("flip in vertex %d tensor %d bit %d: vertex %d owner = %d, want %d",
+						v, i, bit, u, e.Owner, want)
+				}
+			}
+			flips++
+		}
+	}
+	if flips == 0 {
+		t.Fatal("prefix holds no tensors to flip")
 	}
 }
 
@@ -810,5 +862,47 @@ func TestAttachOverTCP(t *testing.T) {
 	}
 	if _, got, err := repo.Load(ctx, childID); err != nil || !got.Equal(ws2) {
 		t.Fatalf("child lost after TCP retirement: %v", err)
+	}
+}
+
+// TestLoadReturnsFramesOverTCP: the pooled receive frames behind a
+// Repository.Load go back to the transport's pool before Load returns —
+// the tensors are cloned out of them, so nothing aliases them afterwards.
+// The client segment cache is off so no cache entry holds a frame.
+func TestLoadReturnsFramesOverTCP(t *testing.T) {
+	conns := make([]rpc.Conn, 2)
+	for i := range conns {
+		p := provider.New(i, kvstore.NewMemKV(8))
+		srv := rpc.NewServer()
+		p.Register(srv)
+		lis, addr, err := rpc.ListenAndServeTCP("127.0.0.1:0", srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { lis.Close() })
+		pool := rpc.NewPool(addr, 2, rpc.DialTCP)
+		t.Cleanup(func() { pool.Close() })
+		conns[i] = pool
+	}
+	repo := Attach(conns, client.WithSegCacheBytes(0))
+	ctx := context.Background()
+	f := mlp(t, 4, 64, 8)
+	ws := model.Materialize(f, 1)
+	id, err := repo.Store(ctx, f, ws, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	leased0, returned0 := rpc.FrameCounts()
+	_, got, err := repo.Load(ctx, id)
+	if err != nil || !got.Equal(ws) {
+		t.Fatalf("load over TCP: %v", err)
+	}
+	leased, returned := rpc.FrameCounts()
+	if leased == leased0 {
+		t.Fatal("TCP load leased no pooled frames")
+	}
+	if held := (leased - leased0) - (returned - returned0); held != 0 {
+		t.Errorf("%d of %d frames leased by Load were not returned to the pool", held, leased-leased0)
 	}
 }

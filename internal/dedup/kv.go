@@ -1,6 +1,7 @@
 package dedup
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -110,16 +111,23 @@ func (d *KV) Put(key string, value []byte) error {
 	if strings.HasPrefix(key, casPrefix) {
 		return fmt.Errorf("dedup: key %q collides with the reserved chunk namespace", key)
 	}
+	// Hash before taking the lock: the digests are a pure function of the
+	// value, and hashing a large segment under d.mu would serialize every
+	// concurrent Put, Delete and refcount release behind it.
+	var digests []uint64
+	if len(value) >= d.o.ChunkSize {
+		digests = ChunkDigests(value, d.o.ChunkSize)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err := d.releaseLocked(key); err != nil {
 		return err
 	}
 	d.touch(key)
-	if len(value) < d.o.ChunkSize {
+	if digests == nil {
 		return d.kv.Put(key, value)
 	}
-	recipe, err := d.storeChunksLocked(value)
+	recipe, err := d.storeChunksLocked(value, digests)
 	if err != nil {
 		return err
 	}
@@ -131,11 +139,11 @@ func (d *KV) Put(key string, value []byte) error {
 }
 
 // storeChunksLocked stores value's chunks (reusing existing copies) and
-// returns the recipe. A digest collision — same digest, different bytes —
-// returns (nil, nil) after releasing any references already taken, and
-// the caller stores the value inline.
-func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
-	digests := ChunkDigests(value, d.o.ChunkSize)
+// returns the recipe; digests are value's ChunkDigests. A digest
+// collision — same digest, different bytes — returns (nil, nil) after
+// releasing any references already taken, and the caller stores the value
+// inline.
+func (d *KV) storeChunksLocked(value []byte, digests []uint64) ([]byte, error) {
 	recipe := make([]byte, 0, len(recipeMagic)+12+12*len(digests))
 	recipe = append(recipe, recipeMagic...)
 	recipe = binary.LittleEndian.AppendUint64(recipe, uint64(len(value)))
@@ -159,7 +167,7 @@ func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
 				undo()
 				return nil, err
 			}
-			if !bytesEqual(stored, chunk) {
+			if !bytes.Equal(stored, chunk) {
 				undo()
 				return nil, nil // true collision: fall back to inline
 			}
@@ -179,18 +187,6 @@ func (d *KV) storeChunksLocked(value []byte) ([]byte, error) {
 		recipe = binary.LittleEndian.AppendUint32(recipe, uint32(len(chunk)))
 	}
 	return recipe, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // chunkBytes reads one chunk's logical bytes (inflating a cold chunk).
@@ -318,7 +314,7 @@ func (d *KV) reassemble(recipe []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, rawLen)
+	chunks := make([][]byte, len(digests))
 	for i, g := range digests {
 		chunk, err := d.chunkBytes(g)
 		if err != nil {
@@ -327,8 +323,11 @@ func (d *KV) reassemble(recipe []byte) ([]byte, error) {
 		if len(chunk) != int(lens[i]) {
 			return nil, fmt.Errorf("dedup: chunk %016x is %d bytes, recipe says %d", g, len(chunk), lens[i])
 		}
-		out = append(out, chunk...)
+		chunks[i] = chunk
 	}
+	// bytes.Join allocates the result without zeroing it first: every
+	// byte is overwritten by a chunk copy anyway.
+	out := bytes.Join(chunks, nil)
 	if uint64(len(out)) != rawLen {
 		return nil, fmt.Errorf("dedup: reassembled %d bytes, recipe says %d", len(out), rawLen)
 	}

@@ -2,6 +2,10 @@ package dedup
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,5 +207,98 @@ func TestKVSweepDisabledWithoutOption(t *testing.T) {
 	mustPut(t, d, "seg/1", bytes.Repeat([]byte("model weights "), 64))
 	if n, err := d.SweepCold(0); err != nil || n != 0 {
 		t.Fatalf("sweep without ColdCompress = %d, %v, want no-op", n, err)
+	}
+}
+
+// TestKVConcurrentMutationsKeepRefcounts runs concurrent Put, Delete and
+// Get on overlapping keys whose values share chunks (run it with -race).
+// Every successful read must return a whole value that was written under
+// its key, and afterwards a fresh wrapper's Recover must rebuild exactly
+// the live chunk refcounts, with no orphan chunk left behind.
+func TestKVConcurrentMutationsKeepRefcounts(t *testing.T) {
+	const chunk = 64
+	d, inner := wrapped(t, Options{ChunkSize: chunk})
+	patterns := make([][]byte, 5)
+	for i := range patterns {
+		patterns[i] = bytes.Repeat([]byte{byte('a' + i)}, chunk)
+	}
+	// value(k, j) concatenates 3–5 patterns, so values of different keys
+	// and different versions of one key share chunks.
+	value := func(k, j int) []byte {
+		var v []byte
+		for c := 0; c < 3+(k+j)%3; c++ {
+			v = append(v, patterns[(k*3+j+c*c)%len(patterns)]...)
+		}
+		return v
+	}
+	const keys, versions = 4, 6
+	valid := func(k int, v []byte) bool {
+		for j := 0; j < versions; j++ {
+			if bytes.Equal(v, value(k, j)) {
+				return true
+			}
+		}
+		return false
+	}
+
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				k := (w + i) % keys
+				key := fmt.Sprintf("k%d", k)
+				switch (w*7 + i) % 5 {
+				case 0, 1:
+					if err := d.Put(key, value(k, (w+i)%versions)); err != nil {
+						errc <- err
+						return
+					}
+				case 2:
+					if err := d.Delete(key); err != nil {
+						errc <- err
+						return
+					}
+				default:
+					// A read racing a delete of the same key can find a
+					// chunk already freed; anything it does return must be
+					// a whole value of that key.
+					v, ok, err := d.Get(key)
+					if err != nil && !strings.Contains(err.Error(), "missing") {
+						errc <- err
+						return
+					}
+					if err == nil && ok && !valid(k, v) {
+						errc <- fmt.Errorf("get %s returned a value never written under it", key)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	for k := 0; k < keys; k++ {
+		if v, ok, err := d.Get(fmt.Sprintf("k%d", k)); err != nil || (ok && !valid(k, v)) {
+			t.Errorf("k%d after the run: ok=%v err=%v", k, ok, err)
+		}
+	}
+	stored := 0
+	inner.Scan(casPrefix, func(string, []byte) bool { stored++; return true })
+	if stored != d.Stats().Chunks {
+		t.Errorf("%d chunks stored, refcounts track %d", stored, d.Stats().Chunks)
+	}
+	r := Wrap(inner, Options{ChunkSize: chunk})
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.refs, d.refs) || r.chunks != d.chunks {
+		t.Errorf("Recover rebuilt %d chunks %v, live wrapper has %d chunks %v", r.chunks, r.refs, d.chunks, d.refs)
 	}
 }

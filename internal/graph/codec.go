@@ -114,8 +114,8 @@ func Decode(b []byte) (*Compact, int, error) {
 	inBack := make([]VertexID, edges)
 	o, in := 0, 0
 	for v := 0; v < n; v++ {
-		g.Out[v] = outBack[o:o:o+int(outDeg[v])]
-		g.In[v] = inBack[in:in:in+int(inDeg[v])]
+		g.Out[v] = outBack[o : o : o+int(outDeg[v])]
+		g.In[v] = inBack[in : in : in+int(inDeg[v])]
 		o += int(outDeg[v])
 		in += int(inDeg[v])
 	}

@@ -131,16 +131,22 @@ func (ws WeightSet) DecodeVertexInto(f *Flat, v graph.VertexID, seg []byte) erro
 	return nil
 }
 
-// Fingerprints returns a per-vertex content hash, or 0 for parameter-free
-// vertices. Used for fast modified-tensor detection during diffing.
+// VertexFingerprint returns a content hash of vertex v's tensors, or 0 for
+// a parameter-free (or absent) vertex. Derived-model diffing compares it
+// before and after training to find the modified vertices.
+func (ws WeightSet) VertexFingerprint(v graph.VertexID) uint64 {
+	var fp uint64
+	for _, t := range ws.slot(v) {
+		fp = fp*0x100000001b3 + t.Fingerprint()
+	}
+	return fp
+}
+
+// Fingerprints returns VertexFingerprint for every vertex.
 func (ws WeightSet) Fingerprints() []uint64 {
 	fps := make([]uint64, len(ws))
-	for v, ts := range ws {
-		var fp uint64
-		for _, t := range ts {
-			fp = fp*0x100000001b3 + t.Fingerprint()
-		}
-		fps[v] = fp
+	for v := range ws {
+		fps[v] = ws.VertexFingerprint(graph.VertexID(v))
 	}
 	return fps
 }

@@ -47,7 +47,20 @@ type Frame struct {
 func NewFrame(buf []byte) *Frame {
 	f := &Frame{buf: buf}
 	f.refs.Store(1)
+	framesLeased.Add(1)
 	return f
+}
+
+// framesLeased and framesReturned count, process-wide, the frames created
+// and the frames whose final release recycled their buffer.
+var framesLeased, framesReturned atomic.Uint64
+
+// FrameCounts reports how many receive frames have been leased and how
+// many have gone back to the pool since the process started. The
+// difference is the number of frames still held (or leaked to the GC by a
+// holder that never released them).
+func FrameCounts() (leased, returned uint64) {
+	return framesLeased.Load(), framesReturned.Load()
 }
 
 // Bytes returns the leased buffer. Valid only while the caller holds a
@@ -78,6 +91,7 @@ func (f *Frame) Release() {
 		buf := f.buf
 		f.buf = nil
 		putBuf(buf)
+		framesReturned.Add(1)
 	case n < 0:
 		panic("rpc: Frame.Release without matching reference")
 	}

@@ -10,8 +10,9 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
+
+	"repro/internal/digest"
 )
 
 // DType identifies the element type of a Tensor.
@@ -167,19 +168,17 @@ func (t *Tensor) Equal(o *Tensor) bool {
 }
 
 // Fingerprint returns a 64-bit content hash covering name, dtype, shape and
-// data. It is used for fast modified-tensor detection during diffing.
+// data. It is used for fast modified-tensor detection during diffing: a
+// small header digest of name, dtype and shape seeds one XXH64 pass over
+// the data. Fingerprints are compared in memory only and never persisted.
 func (t *Tensor) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(t.Name))
-	var buf [8]byte
-	buf[0] = byte(t.DType)
-	h.Write(buf[:1])
+	var buf [128]byte // holds the header of any usual name and rank on the stack
+	hdr := append(buf[:0], t.Name...)
+	hdr = append(hdr, byte(t.DType))
 	for _, d := range t.Shape {
-		binary.LittleEndian.PutUint64(buf[:], uint64(d))
-		h.Write(buf[:])
+		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(d))
 	}
-	h.Write(t.Data)
-	return h.Sum64()
+	return digest.Sum64(t.Data, digest.Sum64(hdr, 0))
 }
 
 // Float32At returns element i interpreted as float32. It panics if the dtype

@@ -1,9 +1,12 @@
 package tensor
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/digest"
 )
 
 func TestDTypeSizes(t *testing.T) {
@@ -194,6 +197,32 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if c.Fingerprint() == fp {
 		t.Error("fingerprint insensitive to name change")
 	}
+	d := a.Clone()
+	d.DType = Int32
+	if d.Fingerprint() == fp {
+		t.Error("fingerprint insensitive to dtype change")
+	}
+	e := a.Clone()
+	e.Shape = []int{4, 4}
+	if e.Fingerprint() == fp {
+		t.Error("fingerprint insensitive to shape change")
+	}
+	for bit := 0; bit < 8*len(a.Data); bit++ {
+		a.Data[bit/8] ^= 1 << (bit % 8)
+		got := a.Fingerprint()
+		a.Data[bit/8] ^= 1 << (bit % 8)
+		if got == fp {
+			t.Fatalf("flipping data bit %d left the fingerprint unchanged", bit)
+		}
+	}
+}
+
+func TestFingerprintNoAllocs(t *testing.T) {
+	a := New("block3/conv2d/kernel", Float32, 3, 3, 64, 64)
+	a.FillSeeded(1)
+	if n := testing.AllocsPerRun(100, func() { a.Fingerprint() }); n != 0 {
+		t.Errorf("Fingerprint allocates %v times per call", n)
+	}
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
@@ -313,6 +342,32 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = tt.Fingerprint()
+	}
+}
+
+// BenchmarkSum64 and BenchmarkFNV64a hash the same 1 MiB payload as
+// BenchmarkFingerprint with the raw digest and with the byte-at-a-time
+// FNV-1a that fingerprints used before, so the header cost and the gain
+// read off side by side.
+func BenchmarkSum64(b *testing.B) {
+	tt := New("w", Float32, 1<<18)
+	tt.FillSeeded(1)
+	b.SetBytes(int64(tt.SizeBytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = digest.Sum64(tt.Data, 0)
+	}
+}
+
+func BenchmarkFNV64a(b *testing.B) {
+	tt := New("w", Float32, 1<<18)
+	tt.FillSeeded(1)
+	b.SetBytes(int64(tt.SizeBytes()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := fnv.New64a()
+		h.Write(tt.Data)
+		_ = h.Sum64()
 	}
 }
 
