@@ -20,8 +20,9 @@ test:
 # scaled-down dedup lineage run (verifies every restored model
 # bit-identical), the gray-failure storm scenario (rolling slow nodes, a
 # flapping partition, and a kill/restart under zipfian load: zero failed
-# reads, hedged p99 bounded), and the docs-vs-code identifier check. This
-# is what CI should run.
+# reads, hedged p99 bounded), a few seconds of native fuzzing on the
+# read-request decoder, and the docs-vs-code identifier check. This is
+# what CI should run.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: these files need formatting:"; echo "$$unformatted"; exit 1; fi
@@ -35,6 +36,7 @@ check:
 	$(GO) run ./cmd/evostore-bench dedup -steps 4 -layers 8 -dim 128
 	$(GO) run ./cmd/evostore-bench frontdoor -smoke
 	$(GO) run ./cmd/evostore-bench storm -smoke
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReadSegmentsReq$$' -fuzztime 5s ./internal/proto
 	./scripts/docscheck.sh
 
 # Fail if a `pkg.Identifier` code span in docs/ARCHITECTURE.md or

@@ -364,7 +364,7 @@ func main() {
 			copts = []client.Option{client.WithPlacement(placement.New(*deploySize, *replicas))}
 		}
 		if *hedgedReads {
-			copts = append(copts, client.WithHedgedReads(0, *hedgeBudget))
+			copts = append(copts, client.WithHedgedReads(*hedgeBudget))
 		}
 		cli := client.New(conns, copts...)
 		go func() {

@@ -78,9 +78,6 @@ type Client struct {
 	place    atomic.Pointer[placement.State] // active placement view; never nil after New
 	reg      *metrics.Registry
 
-	stripeChunk uint64 // striped-read chunk size; 0 disables striping
-	stripePar   int    // max concurrent chunk fetches per owner group
-
 	partialWrites bool // accept outage-shaped partial mutations (see repair.go)
 	// rebalanceMu serializes placement transitions driven through this
 	// client: concurrent Rebalancer.Rebalance calls (controller cycle vs
@@ -109,7 +106,6 @@ type Client struct {
 
 	failovers      *metrics.Counter // reads served by a non-preferred replica
 	breakerSkips   *metrics.Counter // replicas skipped on an open breaker
-	stripedReads   *metrics.Counter // owner-group reads served via range striping
 	partialAcc     *metrics.Counter // partial writes accepted for repair
 	repairDrops    *metrics.Counter // repair targets dropped on a full queue
 	epochAdopts    *metrics.Counter // newer placement views adopted from rejections or sync
@@ -164,7 +160,6 @@ func New(conns []rpc.Conn, opts ...Option) *Client {
 	c.place.Store(st)
 	c.failovers = c.reg.Counter("client.read_failover")
 	c.breakerSkips = c.reg.Counter("client.replica_breaker_skip")
-	c.stripedReads = c.reg.Counter("client.striped_read")
 	c.partialAcc = c.reg.Counter("client.partial_write")
 	c.repairDrops = c.reg.Counter("client.repair_queue_drop")
 	c.epochAdopts = c.reg.Counter("client.epoch_adopt")

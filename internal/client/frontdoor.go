@@ -132,8 +132,8 @@ func flightKey(owner ownermap.ModelID, vs []graph.VertexID) string {
 }
 
 // readGroup fetches one owner group's segments through the front door:
-// self-throttle pacing, then flight coalescing, then the wire (see
-// readGroupWire for the full/striped dispatch). Each returner owns one
+// self-throttle pacing, then flight coalescing, then one wire read
+// (readGroupWire). Each returner owns one
 // reference on the backing frame — transferred to lease, or deliberately
 // leaked when lease is nil, since a legacy caller may hold the parts
 // indefinitely and an unpooled frame is safe where a recycled-under-use
@@ -181,4 +181,49 @@ func (c *Client) readGroup(ctx context.Context, owner ownermap.ModelID, vs []gra
 		}
 	}
 	return g.table, g.parts, nil
+}
+
+// readGroupWire fetches one owner group's segments off the wire in one
+// single-response read — the segment table plus the consolidated bulk
+// payload the paper reads per owner. The returned parts alias the response
+// buffers. With framed
+// set the response bulk arrives as a pooled receive frame; the caller owns
+// one reference on it and every returned part aliases it.
+func (c *Client) readGroupWire(ctx context.Context, owner ownermap.ModelID, vs []graph.VertexID, framed bool) ([]proto.SegmentRef, [][]byte, *rpc.Frame, error) {
+	req := &proto.ReadSegmentsReq{Owner: owner, Vertices: vs, Tenant: c.tenant}
+	var sink *rpc.FrameSink
+	if framed {
+		ctx, sink = rpc.WithFrameSink(ctx)
+	}
+	resp, err := c.readCall(ctx, proto.RPCReadSegments, owner, rpc.Message{Meta: req.Encode()})
+	if err != nil {
+		dropFrame(sink)
+		return nil, nil, nil, err
+	}
+	table, err := proto.DecodeSegTable(resp.Meta)
+	if err != nil {
+		dropFrame(sink)
+		return nil, nil, nil, err
+	}
+	parts, err := proto.SplitBulkMsg(table, resp)
+	if err != nil {
+		dropFrame(sink)
+		return nil, nil, nil, err
+	}
+	var frame *rpc.Frame
+	if sink != nil {
+		frame = sink.Take()
+	}
+	return table, parts, frame, nil
+}
+
+// dropFrame releases whatever frame a failed call may have deposited
+// before the error (e.g. a response that arrived but failed validation).
+func dropFrame(sink *rpc.FrameSink) {
+	if sink == nil {
+		return
+	}
+	if f := sink.Take(); f != nil {
+		f.Release()
+	}
 }

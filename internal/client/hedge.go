@@ -1,14 +1,10 @@
 package client
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/frontdoor"
-	"repro/internal/placement"
 	"repro/internal/rpc"
 )
 
@@ -22,7 +18,8 @@ import (
 // request volume so hedging can never melt a fleet that is slow because
 // it is overloaded. Replica failover semantics are unchanged — a
 // transiently failed leg launches the next replica immediately and is not
-// charged against the hedge budget.
+// charged against the hedge budget. The racing itself lives in readPass
+// (replication.go), the one replica pass hedged and unhedged reads share.
 
 // scoreReporter mirrors resilient.ScoreReporter without importing the
 // package: any conn exposing Score() participates in score-ranked replica
@@ -54,29 +51,24 @@ const (
 	hedgeQuantile = 0.95
 )
 
-// hedger holds the hedging configuration and budget for one Client.
+// hedger holds the hedging budget for one Client.
 type hedger struct {
-	delay time.Duration // fixed hedge delay; 0 derives it per call
-
 	mu     sync.Mutex
 	bucket *frontdoor.Bucket
 }
 
-// WithHedgedReads enables hedged reads. delay is the pause before a read
-// is duplicated to the next-best replica; 0 derives it per call from the
-// primary's observed p95 latency, scaled down by its health score.
-// budgetPerSec caps hedge launches per second fleet-wide on this client
-// (<= 0: a conservative default); reads beyond the budget simply stay
-// un-hedged.
-func WithHedgedReads(delay time.Duration, budgetPerSec float64) Option {
+// WithHedgedReads enables hedged reads. The pause before a read is
+// duplicated to the next-best replica is derived per call from the
+// primary's observed p95 latency, scaled down by its health score (see
+// delayFor). budgetPerSec caps hedge launches per second fleet-wide on
+// this client (<= 0: a conservative default); reads beyond the budget
+// simply stay un-hedged.
+func WithHedgedReads(budgetPerSec float64) Option {
 	return func(c *Client) {
 		if budgetPerSec <= 0 {
 			budgetPerSec = defaultHedgeBudget
 		}
-		c.hedge = &hedger{
-			delay:  delay,
-			bucket: frontdoor.NewBucket(budgetPerSec, hedgeWindow),
-		}
+		c.hedge = &hedger{bucket: frontdoor.NewBucket(budgetPerSec, hedgeWindow)}
 	}
 }
 
@@ -92,26 +84,24 @@ func (h *hedger) admit() bool {
 // delayFor picks the hedge delay before duplicating a read in flight on
 // conn to next (the replica the hedge would go to; nil when unknown).
 func (h *hedger) delayFor(conn, next rpc.Conn) time.Duration {
-	d := h.delay
-	if d <= 0 {
-		if lr, ok := conn.(latencyReporter); ok {
-			d = lr.LatencyPercentile(hedgeQuantile)
-		}
-		// A gray-slow primary's own p95 is exactly what hedging routes
-		// around, so it must not set the wait: clamp to twice what the
-		// hedge target typically needs. Against a healthy primary the
-		// clamp is inert (2x its sibling's p95 exceeds its own p95), so
-		// only the slowest ~5% of healthy reads still hedge.
-		if next != nil {
-			if lr, ok := next.(latencyReporter); ok {
-				if np := lr.LatencyPercentile(hedgeQuantile); np > 0 && (d <= 0 || 2*np < d) {
-					d = 2 * np
-				}
+	var d time.Duration
+	if lr, ok := conn.(latencyReporter); ok {
+		d = lr.LatencyPercentile(hedgeQuantile)
+	}
+	// A gray-slow primary's own p95 is exactly what hedging routes
+	// around, so it must not set the wait: clamp to twice what the hedge
+	// target typically needs. Against a healthy primary the clamp is
+	// inert (2x its sibling's p95 exceeds its own p95), so only the
+	// slowest ~5% of healthy reads still hedge.
+	if next != nil {
+		if lr, ok := next.(latencyReporter); ok {
+			if np := lr.LatencyPercentile(hedgeQuantile); np > 0 && (d <= 0 || 2*np < d) {
+				d = 2 * np
 			}
 		}
-		if d <= 0 {
-			d = fallbackHedgeDelay
-		}
+	}
+	if d <= 0 {
+		d = fallbackHedgeDelay
 	}
 	if sr, ok := conn.(scoreReporter); ok {
 		// A primary already known to be struggling is hedged sooner: the
@@ -124,110 +114,4 @@ func (h *hedger) delayFor(conn, next rpc.Conn) time.Duration {
 		d = hedgeDelayFloor
 	}
 	return d
-}
-
-// readOnceHedged is readOnce's racing counterpart: one pass over the
-// replica order where the next replica is launched either immediately
-// (the in-flight leg failed transiently — plain failover, not budgeted)
-// or after the hedge delay (the in-flight legs are still pending and the
-// budget admits — a hedge). The first success wins and cancels the rest;
-// an authoritative failure from any leg settles the read just as in the
-// sequential path.
-func (c *Client) readOnceHedged(ctx context.Context, name string, order []int, req rpc.Message) readOutcome {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type legResult struct {
-		idx, pi int
-		resp    rpc.Message
-		err     error
-	}
-	results := make(chan legResult, len(order))
-	hedged := make([]bool, len(order)) // launched as a hedge (vs primary/failover)
-	launched := 0
-	launch := func(asHedge bool) {
-		idx, pi := launched, order[launched]
-		launched++
-		hedged[idx] = asHedge
-		go func() {
-			resp, err := c.conns[pi].Call(hctx, name, req)
-			results <- legResult{idx: idx, pi: pi, resp: resp, err: err}
-		}()
-	}
-	launch(false)
-	inflight := 1
-
-	// nextAfterLaunched is the replica the next hedge would duplicate to.
-	nextAfterLaunched := func() rpc.Conn {
-		if launched < len(order) {
-			return c.conns[order[launched]]
-		}
-		return nil
-	}
-	timer := time.NewTimer(c.hedge.delayFor(c.conns[order[0]], nextAfterLaunched()))
-	defer timer.Stop()
-	rearm := func(d time.Duration) {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(d)
-	}
-
-	var failed []error
-	var staleTbl *placement.Table
-	for inflight > 0 {
-		var fire <-chan time.Time
-		if launched < len(order) {
-			fire = timer.C
-		}
-		select {
-		case r := <-results:
-			inflight--
-			if r.err == nil {
-				if hedged[r.idx] {
-					c.hedgeWon.Inc()
-				} else if r.idx > 0 {
-					c.failovers.Inc()
-				}
-				if inflight > 0 {
-					c.hedgeCancelled.Add(uint64(inflight))
-				}
-				return readOutcome{resp: r.resp, staleTbl: staleTbl}
-			}
-			if t, ok := placement.TableFromError(r.err); ok {
-				staleTbl = t
-			} else if !placement.IsNotMigrated(r.err) && !rpc.IsTransient(r.err) {
-				if inflight > 0 {
-					c.hedgeCancelled.Add(uint64(inflight))
-				}
-				return readOutcome{err: fmt.Errorf("provider %d: %w", r.pi, r.err), final: true, staleTbl: staleTbl}
-			}
-			failed = append(failed, fmt.Errorf("replica on provider %d: %w", r.pi, r.err))
-			// Plain failover: replace the failed leg right away, free of
-			// charge, and restart the hedge clock for the new leg.
-			if launched < len(order) {
-				next := c.conns[order[launched]]
-				launch(false)
-				inflight++
-				rearm(c.hedge.delayFor(next, nextAfterLaunched()))
-			}
-		case <-fire:
-			if c.hedge.admit() {
-				c.hedgedReads.Inc()
-				next := c.conns[order[launched]]
-				launch(true)
-				inflight++
-				rearm(c.hedge.delayFor(next, nextAfterLaunched()))
-			} else {
-				// Budget exhausted: leave the in-flight legs to run, but
-				// check back — budget refills within the window.
-				c.hedgeRefused.Inc()
-				rearm(hedgeWindow / 4)
-			}
-		}
-	}
-	return readOutcome{err: errors.Join(failed...), staleTbl: staleTbl}
 }

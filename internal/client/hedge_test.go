@@ -54,10 +54,11 @@ func (c *hedgeTestConn) LatencyPercentile(float64) time.Duration { return c.p95 
 
 func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	reg := metrics.NewRegistry()
-	primary := &hedgeTestConn{delay: 300 * time.Millisecond, score: -1}
+	// The primary's observed p95 sets the hedge delay (5ms).
+	primary := &hedgeTestConn{delay: 300 * time.Millisecond, score: -1, p95: 5 * time.Millisecond}
 	secondary := &hedgeTestConn{delay: time.Millisecond, score: -1}
 	cli := New([]rpc.Conn{primary, secondary}, WithReplicas(2), WithRegistry(reg),
-		WithHedgedReads(5*time.Millisecond, 100))
+		WithHedgedReads(100))
 
 	start := time.Now()
 	resp, err := cli.readCall(context.Background(), "op", ownermap.ModelID(0), rpc.Message{})
@@ -86,10 +87,10 @@ func TestHedgeBudgetExhaustedReadStillSucceeds(t *testing.T) {
 	// A 1/s budget affords exactly one hedge up front (a fresh bucket
 	// floors its fill at one op); every slow read after that must run
 	// un-hedged until the bucket refills.
-	primary := &hedgeTestConn{delay: 40 * time.Millisecond, score: -1}
+	primary := &hedgeTestConn{delay: 40 * time.Millisecond, score: -1, p95: time.Millisecond}
 	secondary := &hedgeTestConn{delay: time.Millisecond, score: -1}
 	cli := New([]rpc.Conn{primary, secondary}, WithReplicas(2), WithRegistry(reg),
-		WithHedgedReads(time.Millisecond, 1))
+		WithHedgedReads(1))
 
 	for i := 0; i < 3; i++ {
 		resp, err := cli.readCall(context.Background(), "op", ownermap.ModelID(0), rpc.Message{})
@@ -109,47 +110,134 @@ func TestHedgeBudgetExhaustedReadStillSucceeds(t *testing.T) {
 }
 
 func TestHedgeTransientFailureFailsOverImmediately(t *testing.T) {
-	reg := metrics.NewRegistry()
-	primary := &hedgeTestConn{err: rpc.ErrInjected, score: -1} // fails fast, transient
-	secondary := &hedgeTestConn{delay: time.Millisecond, score: -1}
-	cli := New([]rpc.Conn{primary, secondary}, WithReplicas(2), WithRegistry(reg),
-		WithHedgedReads(time.Hour, 100)) // hedge timer can never fire
+	// Hedger on and off: the one replica pass fails over the same way.
+	for _, m := range []struct {
+		name string
+		opts []Option
+	}{
+		{"hedged", []Option{WithHedgedReads(100)}},
+		{"unhedged", nil},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			// The primary fails fast and transiently; its hour-long p95
+			// means a hedge timer, if armed, can never fire.
+			primary := &hedgeTestConn{err: rpc.ErrInjected, score: -1, p95: time.Hour}
+			secondary := &hedgeTestConn{delay: time.Millisecond, score: -1, p95: time.Hour}
+			opts := append([]Option{WithReplicas(2), WithRegistry(reg)}, m.opts...)
+			cli := New([]rpc.Conn{primary, secondary}, opts...)
 
-	start := time.Now()
-	if _, err := cli.readCall(context.Background(), "op", ownermap.ModelID(0), rpc.Message{}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("failover took %v; must not wait for the hedge delay", elapsed)
-	}
-	if n := reg.Counter("client.hedged_read").Load(); n != 0 {
-		t.Fatalf("client.hedged_read = %d, want 0 (failover is free)", n)
-	}
-	if n := reg.Counter("client.read_failover").Load(); n != 1 {
-		t.Fatalf("client.read_failover = %d, want 1", n)
+			start := time.Now()
+			if _, err := cli.readCall(context.Background(), "op", ownermap.ModelID(0), rpc.Message{}); err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("failover took %v; must not wait for the hedge delay", elapsed)
+			}
+			if n := reg.Counter("client.hedged_read").Load(); n != 0 {
+				t.Fatalf("client.hedged_read = %d, want 0 (failover is free)", n)
+			}
+			if n := reg.Counter("client.read_failover").Load(); n != 1 {
+				t.Fatalf("client.read_failover = %d, want 1", n)
+			}
+			if got := secondary.calls.Load(); got != 1 {
+				t.Fatalf("secondary saw %d calls, want 1", got)
+			}
+		})
 	}
 }
 
 func TestHedgeAuthoritativeErrorSettles(t *testing.T) {
-	reg := metrics.NewRegistry()
 	// Any permanently-classified error is authoritative to the read path;
 	// ErrFrameTooLarge is the easiest to synthesize without a server.
 	authoritative := fmt.Errorf("%w: model not found", rpc.ErrFrameTooLarge)
-	primary := &hedgeTestConn{delay: 500 * time.Millisecond, score: -1}
-	secondary := &hedgeTestConn{delay: time.Millisecond, err: authoritative, score: -1}
-	cli := New([]rpc.Conn{primary, secondary}, WithReplicas(2), WithRegistry(reg),
-		WithHedgedReads(2*time.Millisecond, 100))
+	for _, tc := range []struct {
+		name               string
+		opts               []Option
+		primary, secondary *hedgeTestConn
+		wantSecondaryCalls int64
+	}{
+		// The primary answers authoritatively before any hedge: the read
+		// settles on it and never touches the secondary.
+		{"hedged/primary", []Option{WithHedgedReads(100)},
+			&hedgeTestConn{err: authoritative, score: -1, p95: time.Hour},
+			&hedgeTestConn{score: -1}, 0},
+		{"unhedged/primary", nil,
+			&hedgeTestConn{err: authoritative, score: -1},
+			&hedgeTestConn{score: -1}, 0},
+		// A hedge against a slow primary (p95 2ms sets the delay) gets the
+		// authoritative answer: the read settles without waiting out the
+		// primary.
+		{"hedged/hedge-leg", []Option{WithHedgedReads(100)},
+			&hedgeTestConn{delay: 500 * time.Millisecond, score: -1, p95: 2 * time.Millisecond},
+			&hedgeTestConn{delay: time.Millisecond, err: authoritative, score: -1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			opts := append([]Option{WithReplicas(2), WithRegistry(reg)}, tc.opts...)
+			cli := New([]rpc.Conn{tc.primary, tc.secondary}, opts...)
 
-	start := time.Now()
-	_, err := cli.readCall(context.Background(), "op", ownermap.ModelID(0), rpc.Message{})
-	if err == nil {
-		t.Fatal("want authoritative error, got success")
+			start := time.Now()
+			_, err := cli.readCall(context.Background(), "op", ownermap.ModelID(0), rpc.Message{})
+			if err == nil {
+				t.Fatal("want authoritative error, got success")
+			}
+			if !errors.Is(err, authoritative) {
+				t.Fatalf("err = %v, want wrapped authoritative cause", err)
+			}
+			if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
+				t.Fatalf("authoritative settle took %v; must not wait out the slow primary", elapsed)
+			}
+			if got := tc.secondary.calls.Load(); got != tc.wantSecondaryCalls {
+				t.Fatalf("secondary saw %d calls, want %d", got, tc.wantSecondaryCalls)
+			}
+			if n := reg.Counter("client.read_failover").Load(); n != 0 {
+				t.Fatalf("client.read_failover = %d, want 0 (settled, not failed over)", n)
+			}
+		})
 	}
-	if !errors.Is(err, authoritative) {
-		t.Fatalf("err = %v, want wrapped authoritative cause", err)
-	}
-	if elapsed := time.Since(start); elapsed > 400*time.Millisecond {
-		t.Fatalf("authoritative settle took %v; must not wait out the slow primary", elapsed)
+}
+
+// ctxRecordingConn answers every call and records the context it ran on.
+type ctxRecordingConn struct {
+	hedgeTestConn
+	got context.Context
+}
+
+func (c *ctxRecordingConn) Call(ctx context.Context, name string, req rpc.Message) (rpc.Message, error) {
+	c.got = ctx
+	return c.hedgeTestConn.Call(ctx, name, req)
+}
+
+// When no hedge can launch, the replica pass runs its leg inline: the
+// conn sees the caller's own context, not a per-read racing context
+// (which would mean a goroutine, channel and timer per read).
+func TestReadPassInlineWithoutHedge(t *testing.T) {
+	type key struct{}
+	for _, tc := range []struct {
+		name  string
+		conns int
+		opts  []Option
+	}{
+		{"no-hedger", 2, []Option{WithReplicas(2)}},
+		{"one-replica", 1, []Option{WithHedgedReads(100)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conns := make([]rpc.Conn, tc.conns)
+			recs := make([]*ctxRecordingConn, tc.conns)
+			for i := range conns {
+				recs[i] = &ctxRecordingConn{hedgeTestConn: hedgeTestConn{score: -1}}
+				conns[i] = recs[i]
+			}
+			cli := New(conns, append(tc.opts, WithRegistry(metrics.NewRegistry()))...)
+			ctx := context.WithValue(context.Background(), key{}, 1)
+			if _, err := cli.readCall(ctx, "op", ownermap.ModelID(0), rpc.Message{}); err != nil {
+				t.Fatal(err)
+			}
+			if recs[0].got != ctx {
+				t.Fatal("leg ran on a derived context; want the caller's, inline")
+			}
+		})
 	}
 }
 

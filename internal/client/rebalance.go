@@ -24,7 +24,7 @@ package client
 //  4. Commit. Push the single view {Cur: next} everywhere and install it
 //     locally. Old owners now reject writes with the typed wrong-epoch
 //     error, which makes stale clients self-update and retry; the ReqID
-//     dedup tables absorb the repeats.
+//     retry-reply caches absorb the repeats.
 //  5. Evict. Re-list (covering models stored during the migration) and
 //     drop every model copy from providers that left its replica set.
 //     Eviction is safe: a post-commit write can only land on current

@@ -23,7 +23,7 @@ import (
 // agree on R and converge on the same epoch (see placement.go).
 //
 // Writes (StoreModel, IncRef, DecRef, Retire) fan out to every replica in
-// parallel, all carrying the same ReqID: each replica's dedup table
+// parallel, all carrying the same ReqID: each replica's retry-reply cache
 // independently absorbs retries, so a retried fan-out leg can never
 // double-apply a refcount change. A write succeeds only when every replica
 // accepted it, which keeps replicas bit-identical and makes any single
@@ -151,26 +151,20 @@ func (c *Client) readOrder(id ownermap.ModelID) []int {
 }
 
 // readCall performs a read with replica failover: replicas are tried in
-// score-ranked, breaker-aware preference order; transient failures move
-// on to the next replica, remote errors and caller cancellation return
-// immediately. With hedged reads enabled (WithHedgedReads) the pass over
-// the order races a budgeted hedge against a slow primary instead of
-// strictly serializing (see hedge.go); semantics are otherwise identical.
-// Two placement-shaped rejections bend those rules: a catching-up
-// replica's "not migrated" miss fails over (a previous-epoch owner has
-// the model), and a wrong-epoch rejection refreshes the client's table
-// and — if that changed where the model lives — re-resolves the whole
-// read, so a stale client self-updates instead of failing.
+// score-ranked, breaker-aware preference order by one readPass; transient
+// failures move on to the next replica, remote errors and caller
+// cancellation return immediately. With hedged reads enabled
+// (WithHedgedReads) the pass races a budgeted hedge against a slow
+// primary; semantics are otherwise identical. Two placement-shaped
+// rejections bend those rules: a catching-up replica's "not migrated"
+// miss fails over (a previous-epoch owner has the model), and a
+// wrong-epoch rejection refreshes the client's table and — if that
+// changed where the model lives — re-resolves the whole read, so a
+// stale client self-updates instead of failing.
 func (c *Client) readCall(ctx context.Context, name string, id ownermap.ModelID, req rpc.Message) (rpc.Message, error) {
 	for attempt := 0; ; attempt++ {
 		st := c.place.Load()
-		order := c.readOrder(id)
-		var o readOutcome
-		if c.hedge != nil && len(order) > 1 {
-			o = c.readOnceHedged(ctx, name, order, req)
-		} else {
-			o = c.readOnce(ctx, name, order, req)
-		}
+		o := c.readPass(ctx, name, c.readOrder(id), req)
 		if o.err == nil {
 			if o.staleTbl != nil {
 				// A replica rejected us as stale even though another
@@ -231,29 +225,145 @@ type readOutcome struct {
 	staleTbl *placement.Table
 }
 
-// readOnce tries the replicas of order strictly one at a time.
-func (c *Client) readOnce(ctx context.Context, name string, order []int, req rpc.Message) readOutcome {
-	var failed []error
-	var staleTbl *placement.Table
-	for i, pi := range order {
-		resp, err := c.conns[pi].Call(ctx, name, req)
-		if err == nil {
-			if i > 0 {
-				c.failovers.Inc()
+// readPass makes one pass over a replica order. Every finished leg goes
+// through the same classification (legs.settle): a success wins; a
+// wrong-epoch rejection, a catching-up replica's "not migrated" miss or a
+// transient failure fails over to the next replica; anything else is
+// authoritative and settles the read.
+//
+// With hedged reads (WithHedgedReads) a leg still pending after the hedge
+// delay is raced by the next replica when the budget admits, while a
+// failed leg launches the next replica immediately, free of charge; the
+// first success wins and cancels the rest. When no hedge can launch — no
+// hedger, or a one-replica order — the hedge timer would never arm, so
+// the legs run inline on the caller's goroutine with no goroutine,
+// channel or timer per read.
+func (c *Client) readPass(ctx context.Context, name string, order []int, req rpc.Message) readOutcome {
+	var legs legLog
+	if c.hedge == nil || len(order) < 2 {
+		for i, pi := range order {
+			resp, err := c.conns[pi].Call(ctx, name, req)
+			if o, done := legs.settle(c, i, pi, false, resp, err); done {
+				return o
 			}
-			return readOutcome{resp: resp, staleTbl: staleTbl}
 		}
-		if t, ok := placement.TableFromError(err); ok {
-			staleTbl = t
-		} else if !placement.IsNotMigrated(err) && !rpc.IsTransient(err) {
-			// Authoritative handler answer, or the caller gave up:
-			// replicas are write-synchronized, so no other replica
-			// would say better.
-			return readOutcome{err: fmt.Errorf("provider %d: %w", pi, err), final: true, staleTbl: staleTbl}
-		}
-		failed = append(failed, fmt.Errorf("replica on provider %d: %w", pi, err))
+		return legs.exhausted()
 	}
-	return readOutcome{err: errors.Join(failed...), staleTbl: staleTbl}
+
+	hctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type legResult struct {
+		idx, pi int
+		resp    rpc.Message
+		err     error
+	}
+	results := make(chan legResult, len(order))
+	hedged := make([]bool, len(order)) // launched as a hedge (vs primary/failover)
+	launched := 0
+	launch := func(asHedge bool) {
+		idx, pi := launched, order[launched]
+		launched++
+		hedged[idx] = asHedge
+		go func() {
+			resp, err := c.conns[pi].Call(hctx, name, req)
+			results <- legResult{idx: idx, pi: pi, resp: resp, err: err}
+		}()
+	}
+	launch(false)
+	inflight := 1
+
+	// nextAfterLaunched is the replica the next hedge would duplicate to.
+	nextAfterLaunched := func() rpc.Conn {
+		if launched < len(order) {
+			return c.conns[order[launched]]
+		}
+		return nil
+	}
+	timer := time.NewTimer(c.hedge.delayFor(c.conns[order[0]], nextAfterLaunched()))
+	defer timer.Stop()
+	rearm := func(d time.Duration) {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(d)
+	}
+
+	for inflight > 0 {
+		var fire <-chan time.Time
+		if launched < len(order) {
+			fire = timer.C
+		}
+		select {
+		case r := <-results:
+			inflight--
+			if o, done := legs.settle(c, r.idx, r.pi, hedged[r.idx], r.resp, r.err); done {
+				if inflight > 0 {
+					c.hedgeCancelled.Add(uint64(inflight))
+				}
+				return o
+			}
+			// Plain failover: replace the failed leg right away, free of
+			// charge, and restart the hedge clock for the new leg.
+			if launched < len(order) {
+				next := c.conns[order[launched]]
+				launch(false)
+				inflight++
+				rearm(c.hedge.delayFor(next, nextAfterLaunched()))
+			}
+		case <-fire:
+			if c.hedge.admit() {
+				c.hedgedReads.Inc()
+				next := c.conns[order[launched]]
+				launch(true)
+				inflight++
+				rearm(c.hedge.delayFor(next, nextAfterLaunched()))
+			} else {
+				// Budget exhausted: leave the in-flight legs to run, but
+				// check back — budget refills within the window.
+				c.hedgeRefused.Inc()
+				rearm(hedgeWindow / 4)
+			}
+		}
+	}
+	return legs.exhausted()
+}
+
+// legLog is what a replica pass has learned from its failed legs.
+type legLog struct {
+	failed   []error
+	staleTbl *placement.Table // newest table from any wrong-epoch rejection
+}
+
+// settle classifies one finished leg: the idx-th launched, on provider pi,
+// launched as a hedge when hedge is set. done reports that the leg settles
+// the read with o — a success, or an authoritative failure (a remote
+// handler answer or the caller giving up: replicas are write-synchronized,
+// so no other replica would say better). Otherwise the failure is logged
+// and the pass fails over.
+func (l *legLog) settle(c *Client, idx, pi int, hedge bool, resp rpc.Message, err error) (o readOutcome, done bool) {
+	if err == nil {
+		if hedge {
+			c.hedgeWon.Inc()
+		} else if idx > 0 {
+			c.failovers.Inc()
+		}
+		return readOutcome{resp: resp, staleTbl: l.staleTbl}, true
+	}
+	if t, ok := placement.TableFromError(err); ok {
+		l.staleTbl = t
+	} else if !placement.IsNotMigrated(err) && !rpc.IsTransient(err) {
+		return readOutcome{err: fmt.Errorf("provider %d: %w", pi, err), final: true, staleTbl: l.staleTbl}, true
+	}
+	l.failed = append(l.failed, fmt.Errorf("replica on provider %d: %w", pi, err))
+	return readOutcome{}, false
+}
+
+// exhausted is the outcome of a pass on which every replica failed over.
+func (l *legLog) exhausted() readOutcome {
+	return readOutcome{err: errors.Join(l.failed...), staleTbl: l.staleTbl}
 }
 
 // PartialMutateError reports a replicated mutation that some replicas

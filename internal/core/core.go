@@ -99,14 +99,6 @@ type Options struct {
 	// between them. Default 1 (the paper's single-homed placement);
 	// clamped to Providers.
 	Replicas int
-	// StripeChunkBytes enables range-striped owner-group reads: groups
-	// whose consolidated payload exceeds this size are fetched as
-	// concurrent byte-range chunks (client.WithStripedReads). 0 (default)
-	// disables striping. Mostly useful for TCP-attached deployments; the
-	// in-process fabric is already zero-copy.
-	StripeChunkBytes int
-	// StripeParallel caps in-flight chunks per owner group (default 4).
-	StripeParallel int
 	// PartialWrites relaxes the all-replicas write contract: a replicated
 	// mutation whose failed legs are all transient (outage-shaped) succeeds
 	// as long as one replica accepted it, and the model is queued for
@@ -260,9 +252,6 @@ func Open(opts Options) (*Repository, error) {
 	// The explicit table keeps spares out of placement: the client knows
 	// total connections but the epoch-0 member list is [0..Providers-1].
 	copts := []client.Option{client.WithPlacement(placement.New(opts.Providers, opts.Replicas))}
-	if opts.StripeChunkBytes > 0 {
-		copts = append(copts, client.WithStripedReads(opts.StripeChunkBytes, opts.StripeParallel))
-	}
 	if opts.PartialWrites {
 		copts = append(copts, client.WithPartialWrites())
 	}
@@ -276,7 +265,7 @@ func Open(opts Options) (*Repository, error) {
 		copts = append(copts, client.WithTenant(opts.Tenant))
 	}
 	if opts.HedgedReads {
-		copts = append(copts, client.WithHedgedReads(0, opts.HedgeBudget))
+		copts = append(copts, client.WithHedgedReads(opts.HedgeBudget))
 	}
 	r.cli = client.New(conns, copts...)
 	if opts.AutoBalance {

@@ -21,6 +21,7 @@
 package proto
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -72,8 +73,8 @@ func Idempotent(name string) bool {
 // EvoStore traffic: idempotent operations are always safe; the mutating
 // operations (StoreModel, IncRef, DecRef, Retire) are safe because every
 // request carries a dedup ReqID that lets the provider answer a retry
-// from its dedup table instead of re-executing it. Unknown names are not
-// retried.
+// from its retry-reply cache instead of re-executing it. Unknown names
+// are not retried.
 func Retryable(name string) bool {
 	if Idempotent(name) {
 		return true
@@ -338,48 +339,36 @@ func DecodeModelMeta(b []byte) (*ModelMeta, error) {
 
 // --- ReadSegments -----------------------------------------------------------
 
-// Read modes of a ReadSegmentsReq. ReadFull is the classic consolidated
-// read; ReadTable and ReadRange are the two halves of a striped read: the
-// client first probes the segment table (lengths only, no bulk), then
-// fetches byte ranges of the consolidated payload in parallel over several
-// pooled connections.
-const (
-	// ReadFull returns the segment table plus the full consolidated bulk
-	// payload.
-	ReadFull = 0
-	// ReadTable returns only the segment table — no bulk bytes. Used as
-	// the cheap probe before a striped read.
-	ReadTable = 1
-	// ReadRange returns the raw bytes [RangeOff, RangeOff+RangeLen) of
-	// the consolidated payload (segments concatenated in request vertex
-	// order). The response carries no meta; the client already holds the
-	// table from its ReadTable probe.
-	ReadRange = 2
-)
-
 // ReadSegmentsReq asks the provider hosting owner's segments for the given
-// vertices. Mode/RangeOff/RangeLen ride an optional trailer: a ReadFull
-// request encodes exactly like the pre-striping format, so old and new
-// binaries interoperate for classic reads.
+// vertices; the reply is the segment table plus the consolidated bulk
+// payload, one single-response read.
+//
+// The tenant rides an optional trailer. It sits behind a fixed 17-byte
+// block — a mode byte and two reserved u64s — that older binaries used
+// for range-striped read modes; the block keeps the tenant at its
+// historical offset, so encodings with or without a tenant stay
+// byte-identical to older binaries. A tenant-less request carries no
+// trailer at all.
 type ReadSegmentsReq struct {
 	Owner    ownermap.ModelID
 	Vertices []graph.VertexID
-	// Mode selects ReadFull, ReadTable or ReadRange.
-	Mode uint8
-	// RangeOff/RangeLen bound a ReadRange request (ignored otherwise).
-	RangeOff uint64
-	RangeLen uint64
 	// Tenant attributes the read to an admission-control tenant: the
 	// provider's front door charges its per-tenant token buckets under
-	// this ID ("" shares the anonymous tenant's budget). Rides a second
-	// optional trailer after the mode fields, so tenant-less encoders stay
-	// wire-identical to older binaries.
+	// this ID ("" shares the anonymous tenant's budget).
 	Tenant string
 }
 
-// Encode serializes the request. The mode trailer is appended only for
-// non-ReadFull modes or when a tenant rides behind it, keeping the plain
-// ReadFull encoding canonical.
+// readModeBlockLen is the size of the mode block in front of the tenant:
+// the mode byte plus two reserved u64s.
+const readModeBlockLen = 1 + 8 + 8
+
+// ErrReadMode rejects a ReadSegmentsReq whose mode byte is nonzero: only
+// the full consolidated read exists, so a ranged or table-only request from
+// an older striping client fails instead of being served a full payload.
+var ErrReadMode = errors.New("proto: unsupported read mode")
+
+// Encode serializes the request. The mode block is appended only when a
+// tenant rides behind it, keeping the tenant-less encoding canonical.
 func (q *ReadSegmentsReq) Encode() []byte {
 	w := wire.NewWriter(36 + 4*len(q.Vertices) + len(q.Tenant))
 	w.U64(uint64(q.Owner))
@@ -387,20 +376,18 @@ func (q *ReadSegmentsReq) Encode() []byte {
 	for _, v := range q.Vertices {
 		w.U32(uint32(v))
 	}
-	if q.Mode != ReadFull || q.Tenant != "" {
-		w.U8(q.Mode)
-		w.U64(q.RangeOff)
-		w.U64(q.RangeLen)
-	}
 	if q.Tenant != "" {
+		w.U8(0) // mode: full read
+		w.U64(0)
+		w.U64(0)
 		w.String(q.Tenant)
 	}
 	return w.Bytes()
 }
 
-// DecodeReadSegmentsReq parses the request, tolerating the legacy
-// trailer-free encoding (Mode = ReadFull) and the tenant-less mode trailer
-// but rejecting a torn trailer of either kind.
+// DecodeReadSegmentsReq parses the request, tolerating the trailer-free
+// encoding and a tenant-less mode block, rejecting a torn trailer with
+// wire.ErrTruncated and a nonzero mode byte with ErrReadMode.
 func DecodeReadSegmentsReq(b []byte) (*ReadSegmentsReq, error) {
 	r := wire.NewReader(b)
 	q := &ReadSegmentsReq{Owner: ownermap.ModelID(r.U64())}
@@ -414,10 +401,12 @@ func DecodeReadSegmentsReq(b []byte) (*ReadSegmentsReq, error) {
 	}
 	if r.Err() == nil {
 		switch {
-		case r.Remaining() >= 17:
-			q.Mode = r.U8()
-			q.RangeOff = r.U64()
-			q.RangeLen = r.U64()
+		case r.Remaining() >= readModeBlockLen:
+			if mode := r.U8(); mode != 0 {
+				return nil, fmt.Errorf("%w %d", ErrReadMode, mode)
+			}
+			r.U64() // reserved
+			r.U64() // reserved
 			if r.Remaining() > 0 {
 				q.Tenant = r.Str()
 			}

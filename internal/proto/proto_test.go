@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -351,30 +353,40 @@ func TestCountersDecodeTruncated(t *testing.T) {
 }
 
 func TestReadSegmentsReqModeTrailer(t *testing.T) {
-	// ReadFull encodes exactly like the legacy trailer-free format.
+	// A tenant-less read encodes with no trailer at all.
 	full := &ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}}
 	b := full.Encode()
 	if len(b) != 8+4+4*2 {
-		t.Fatalf("ReadFull encoding is %d bytes, want the canonical %d", len(b), 8+4+4*2)
+		t.Fatalf("full-read encoding is %d bytes, want the canonical %d", len(b), 8+4+4*2)
 	}
 	got, err := DecodeReadSegmentsReq(b)
-	if err != nil || got.Mode != ReadFull || got.Owner != 7 {
-		t.Fatalf("decode ReadFull: %+v %v", got, err)
+	if err != nil || got.Owner != 7 || len(got.Vertices) != 2 {
+		t.Fatalf("decode full read: %+v %v", got, err)
 	}
 
-	// Non-full modes round-trip through the trailer.
-	rng := &ReadSegmentsReq{Owner: 9, Vertices: []graph.VertexID{0}, Mode: ReadRange, RangeOff: 100, RangeLen: 4096}
-	got, err = DecodeReadSegmentsReq(rng.Encode())
-	if err != nil {
-		t.Fatal(err)
+	// A tenant-less mode block with mode 0 (what an older client sent
+	// for a full read) decodes as a plain full read.
+	zero := append(full.Encode(), make([]byte, readModeBlockLen)...)
+	if got, err := DecodeReadSegmentsReq(zero); err != nil || got.Tenant != "" || len(got.Vertices) != 2 {
+		t.Fatalf("zero mode block: %+v %v", got, err)
 	}
-	if got.Mode != ReadRange || got.RangeOff != 100 || got.RangeLen != 4096 {
-		t.Fatalf("range trailer round trip: %+v", got)
-	}
-	tbl := &ReadSegmentsReq{Owner: 9, Vertices: []graph.VertexID{0}, Mode: ReadTable}
-	got, err = DecodeReadSegmentsReq(tbl.Encode())
-	if err != nil || got.Mode != ReadTable {
-		t.Fatalf("table-mode round trip: %+v %v", got, err)
+
+	// Nonzero modes — the retired table probe (1) and byte range (2), or
+	// anything else — are rejected with the typed error, with or without
+	// a tenant behind the block.
+	withTenant := (&ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}, Tenant: "t"}).Encode()
+	modeAt := len(full.Encode())
+	for _, mode := range []byte{1, 2, 99} {
+		raw := append(full.Encode(), make([]byte, readModeBlockLen)...)
+		raw[modeAt] = mode
+		if _, err := DecodeReadSegmentsReq(raw); !errors.Is(err, ErrReadMode) {
+			t.Errorf("mode %d: err = %v, want ErrReadMode", mode, err)
+		}
+		raw = append([]byte(nil), withTenant...)
+		raw[modeAt] = mode
+		if _, err := DecodeReadSegmentsReq(raw); !errors.Is(err, ErrReadMode) {
+			t.Errorf("mode %d with tenant: err = %v, want ErrReadMode", mode, err)
+		}
 	}
 
 	// A torn trailer (present but short) must be rejected, not ignored.
@@ -385,22 +397,15 @@ func TestReadSegmentsReqModeTrailer(t *testing.T) {
 }
 
 func TestReadSegmentsReqTenantTrailer(t *testing.T) {
-	// A tenant on a ReadFull request forces the mode trailer so the tenant
-	// field has a fixed offset, and round-trips intact.
+	// A tenant forces the mode block so the tenant field has a fixed
+	// offset, and round-trips intact.
 	req := &ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}, Tenant: "team-a"}
 	got, err := DecodeReadSegmentsReq(req.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tenant != "team-a" || got.Mode != ReadFull {
+	if got.Tenant != "team-a" || got.Owner != 7 || len(got.Vertices) != 2 {
 		t.Fatalf("tenant round trip: %+v", got)
-	}
-
-	// Tenant composes with a non-full mode trailer.
-	rng := &ReadSegmentsReq{Owner: 9, Vertices: []graph.VertexID{0}, Mode: ReadRange, RangeOff: 8, RangeLen: 16, Tenant: "t"}
-	got, err = DecodeReadSegmentsReq(rng.Encode())
-	if err != nil || got.Tenant != "t" || got.Mode != ReadRange || got.RangeLen != 16 {
-		t.Fatalf("tenant+range round trip: %+v %v", got, err)
 	}
 
 	// No tenant: encoding is byte-identical to the pre-tenant format.
@@ -415,6 +420,60 @@ func TestReadSegmentsReqTenantTrailer(t *testing.T) {
 	if _, err := DecodeReadSegmentsReq(torn); err == nil {
 		t.Error("torn tenant trailer accepted")
 	}
+}
+
+// Full-read encodings, with and without a tenant, are pinned byte for byte
+// to what binaries that still spoke the striped read modes produced, so
+// old and new clients and providers interoperate.
+func TestReadSegmentsReqGolden(t *testing.T) {
+	for _, tc := range []struct {
+		req  ReadSegmentsReq
+		want string
+	}{
+		{ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}},
+			"0700000000000000" + "02000000" + "01000000" + "02000000"},
+		{ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}, Tenant: "team-a"},
+			"0700000000000000" + "02000000" + "01000000" + "02000000" +
+				"00" + "0000000000000000" + "0000000000000000" + "06000000" + hex.EncodeToString([]byte("team-a"))},
+	} {
+		if got := hex.EncodeToString(tc.req.Encode()); got != tc.want {
+			t.Errorf("Encode(%+v) = %s, want %s", tc.req, got, tc.want)
+		}
+	}
+}
+
+// FuzzDecodeReadSegmentsReq: arbitrary bytes never panic the decoder;
+// whatever decodes re-encodes to bytes that decode to the same request;
+// and a present, nonzero mode byte is always rejected.
+func FuzzDecodeReadSegmentsReq(f *testing.F) {
+	f.Add((&ReadSegmentsReq{Owner: 3, Vertices: []graph.VertexID{0, 5, 9}}).Encode())
+	f.Add((&ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}, Tenant: "team-a"}).Encode())
+	f.Add((&ReadSegmentsReq{Owner: 9}).Encode())
+	full := (&ReadSegmentsReq{Owner: 7, Vertices: []graph.VertexID{1, 2}}).Encode()
+	for _, mode := range []byte{0, 1, 2, 99} {
+		raw := append(append([]byte(nil), full...), mode)
+		f.Add(append(raw, make([]byte, 16)...))
+	}
+	f.Add(append(append([]byte(nil), full...), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		q, err := DecodeReadSegmentsReq(b)
+		if err != nil {
+			return
+		}
+		// The decoder accepted b, so its header is intact; a mode block
+		// is present exactly when at least readModeBlockLen bytes follow
+		// the vertex list.
+		if at := 12 + 4*len(q.Vertices); len(b)-at >= readModeBlockLen && b[at] != 0 {
+			t.Fatalf("nonzero mode byte %d accepted: %+v", b[at], q)
+		}
+		back, err := DecodeReadSegmentsReq(q.Encode())
+		if err != nil {
+			t.Fatalf("re-decode of %+v: %v", q, err)
+		}
+		if !reflect.DeepEqual(q, back) {
+			t.Fatalf("round trip changed the request: %+v -> %+v", q, back)
+		}
+	})
 }
 
 func TestSplitBulkMsg(t *testing.T) {

@@ -17,7 +17,7 @@
 //     Stats) are idempotent. The mutating handlers (StoreModel, IncRef,
 //     DecRef, Retire) are not, but deduplicate retried requests by their
 //     proto ReqID: a request whose first execution succeeded is answered
-//     from the dedup table, never re-executed, so retries cannot
+//     from the retry-reply cache, never re-executed, so retries cannot
 //     double-apply refcount changes.
 //   - Atomicity: IncRef/DecRef validate the whole batch before mutating,
 //     so a failed request leaves no partial side effects.
@@ -129,9 +129,10 @@ type Provider struct {
 	retired      map[ownermap.ModelID]uint64
 	retiredOrder []ownermap.ModelID
 
-	// dedup answers retried non-idempotent requests (by proto ReqID) from
-	// their recorded responses instead of re-executing them.
-	dedup *dedupTable
+	// replies answers retried non-idempotent requests (by proto ReqID)
+	// from their recorded responses instead of re-executing them. Not to
+	// be confused with internal/dedup, the content-addressed tensor store.
+	replies *replyCache
 
 	// cat, when non-nil, write-through-persists every catalog mutation
 	// into the KV under cat/ keys and recovers them at open — the durable
@@ -175,7 +176,7 @@ func New(id int, kv kvstore.KV) *Provider {
 		refs:     make(map[ownermap.ModelID]map[graph.VertexID]int),
 		journals: make(map[ownermap.ModelID]*refJournal),
 		retired:  make(map[ownermap.ModelID]uint64),
-		dedup:    newDedupTable(dedupCap),
+		replies:  newReplyCache(replyCacheCap),
 		heat:     metrics.NewHeatMap(metrics.DefaultHeatHalfLife),
 	}
 }
@@ -229,12 +230,12 @@ func (p *Provider) SetMetricsRegistry(reg *metrics.Registry) {
 	}
 }
 
-// SetDedupTTL sets the age after which dedup entries expire (default
-// DefaultDedupTTL). The TTL must cover the deployment's client retry
+// SetDedupTTL sets the age after which retry-reply cache entries expire
+// (default DefaultDedupTTL). The TTL must cover the deployment's client retry
 // budget — an entry expiring while a retry of its request is still
 // possible would let that retry re-execute a completed mutation. 0
 // disables age-based expiry (the FIFO cap still applies).
-func (p *Provider) SetDedupTTL(ttl time.Duration) { p.dedup.setTTL(ttl) }
+func (p *Provider) SetDedupTTL(ttl time.Duration) { p.replies.setTTL(ttl) }
 
 // acceptsWrite reports whether the placement guard admits a write keyed by
 // id (a model being stored/retired, or the owner of refcounted segments).
@@ -272,8 +273,9 @@ func (p *Provider) missErr(id ownermap.ModelID) error {
 	return nil
 }
 
-// dedupHit records a retried mutation answered from the dedup table — the
-// signal that a client is retrying lost responses against this provider.
+// dedupHit records a retried mutation answered from the retry-reply
+// cache — the signal that a client is retrying lost responses against
+// this provider.
 func (p *Provider) dedupHit() { p.reg.Counter("provider.dedup_hit").Inc() }
 
 // Register installs all EvoStore handlers on srv.
@@ -329,7 +331,7 @@ func (p *Provider) handleStoreModel(_ context.Context, req rpc.Message) (rpc.Mes
 	if err != nil {
 		return rpc.Message{}, fmt.Errorf("provider %d: store: %w", p.id, err)
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
+	if meta, done := p.replies.get(q.ReqID); done {
 		p.dedupHit()
 		return rpc.Message{Meta: meta}, nil
 	}
@@ -341,7 +343,7 @@ func (p *Provider) handleStoreModel(_ context.Context, req rpc.Message) (rpc.Mes
 		return rpc.Message{}, err
 	}
 	resp := proto.EncodeU64(uint64(q.Model))
-	p.dedup.put(q.ReqID, resp)
+	p.replies.put(q.ReqID, resp)
 	return rpc.Message{Meta: resp}, nil
 }
 
@@ -514,38 +516,22 @@ func readFlightKey(q *proto.ReadSegmentsReq) string {
 	return string(c.Encode())
 }
 
-// readSegmentsResp executes one segment read and shapes the response for
-// the request's mode. Runs at most once per coalesced flight.
+// readSegmentsResp executes one segment read and shapes its single
+// response: the segment table plus the consolidated bulk payload. Runs at
+// most once per coalesced flight.
 func (p *Provider) readSegmentsResp(q *proto.ReadSegmentsReq) (rpc.Message, error) {
 	table, segs, err := p.ReadSegments(q.Owner, q.Vertices)
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	switch q.Mode {
-	case proto.ReadFull:
-		if total := segsTotal(table); total > rpc.MaxFrame {
-			// Typed server-side mirror of the client's segment guard: never
-			// hand the transport a payload whose length field would not fit
-			// the frame (the caller should stripe instead).
-			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte response %w",
-				p.id, q.Owner, total, rpc.ErrFrameTooLarge)
-		}
-		return rpc.Message{Meta: proto.EncodeSegTable(table), BulkVec: segs}, nil
-	case proto.ReadTable:
-		return rpc.Message{Meta: proto.EncodeSegTable(table)}, nil
-	case proto.ReadRange:
-		if q.RangeLen > rpc.MaxFrame {
-			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte range %w",
-				p.id, q.Owner, q.RangeLen, rpc.ErrFrameTooLarge)
-		}
-		views, err := sliceRange(table, segs, q.RangeOff, q.RangeLen)
-		if err != nil {
-			return rpc.Message{}, fmt.Errorf("provider %d: read %d: %w", p.id, q.Owner, err)
-		}
-		return rpc.Message{BulkVec: views}, nil
-	default:
-		return rpc.Message{}, fmt.Errorf("provider %d: read %d: unknown read mode %d", p.id, q.Owner, q.Mode)
+	if total := segsTotal(table); total > rpc.MaxFrame {
+		// Typed server-side mirror of the client's segment guard: never
+		// hand the transport a payload whose length field would not fit
+		// the frame.
+		return rpc.Message{}, fmt.Errorf("provider %d: read %d: %d-byte response %w",
+			p.id, q.Owner, total, rpc.ErrFrameTooLarge)
 	}
+	return rpc.Message{Meta: proto.EncodeSegTable(table), BulkVec: segs}, nil
 }
 
 // segsTotal sums a segment table's lengths.
@@ -555,37 +541,6 @@ func segsTotal(table []proto.SegmentRef) uint64 {
 		n += uint64(s.Length)
 	}
 	return n
-}
-
-// sliceRange cuts the byte range [off, off+length) out of the consolidated
-// payload that segs represent (concatenated in table order), returning
-// zero-copy views into the per-segment buffers.
-func sliceRange(table []proto.SegmentRef, segs [][]byte, off, length uint64) ([][]byte, error) {
-	total := segsTotal(table)
-	if off+length < off || off+length > total {
-		return nil, fmt.Errorf("range [%d,%d) outside %d-byte payload", off, off+length, total)
-	}
-	var views [][]byte
-	var pos uint64
-	for i, s := range table {
-		segStart, segEnd := pos, pos+uint64(s.Length)
-		pos = segEnd
-		if segEnd <= off {
-			continue
-		}
-		if segStart >= off+length {
-			break
-		}
-		lo, hi := uint64(0), uint64(s.Length)
-		if segStart < off {
-			lo = off - segStart
-		}
-		if segEnd > off+length {
-			hi = off + length - segStart
-		}
-		views = append(views, segs[i][lo:hi])
-	}
-	return views, nil
 }
 
 // ReadSegments resolves the requested vertices' segments (all owned by
@@ -630,7 +585,7 @@ func (p *Provider) handleIncRef(_ context.Context, req rpc.Message) (rpc.Message
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
+	if meta, done := p.replies.get(q.ReqID); done {
 		p.dedupHit()
 		return rpc.Message{Meta: meta}, nil
 	}
@@ -638,7 +593,7 @@ func (p *Provider) handleIncRef(_ context.Context, req rpc.Message) (rpc.Message
 		return rpc.Message{}, err
 	}
 	resp := proto.EncodeU64(uint64(len(q.Vertices)))
-	p.dedup.put(q.ReqID, resp)
+	p.replies.put(q.ReqID, resp)
 	return rpc.Message{Meta: resp}, nil
 }
 
@@ -690,7 +645,7 @@ func (p *Provider) handleDecRef(_ context.Context, req rpc.Message) (rpc.Message
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
+	if meta, done := p.replies.get(q.ReqID); done {
 		p.dedupHit()
 		return rpc.Message{Meta: meta}, nil
 	}
@@ -699,7 +654,7 @@ func (p *Provider) handleDecRef(_ context.Context, req rpc.Message) (rpc.Message
 		return rpc.Message{}, err
 	}
 	resp := proto.EncodeFreedResp(freed, bases)
-	p.dedup.put(q.ReqID, resp)
+	p.replies.put(q.ReqID, resp)
 	return rpc.Message{Meta: resp}, nil
 }
 
@@ -790,7 +745,7 @@ func (p *Provider) handleRetire(_ context.Context, req rpc.Message) (rpc.Message
 	if err != nil {
 		return rpc.Message{}, err
 	}
-	if meta, done := p.dedup.get(q.ReqID); done {
+	if meta, done := p.replies.get(q.ReqID); done {
 		p.dedupHit()
 		return rpc.Message{Meta: meta}, nil
 	}
@@ -799,7 +754,7 @@ func (p *Provider) handleRetire(_ context.Context, req rpc.Message) (rpc.Message
 		return rpc.Message{}, err
 	}
 	resp := om.Encode()
-	p.dedup.put(q.ReqID, resp)
+	p.replies.put(q.ReqID, resp)
 	return rpc.Message{Meta: resp}, nil
 }
 

@@ -3,6 +3,7 @@ package provider
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -330,67 +331,19 @@ func TestReadModes(t *testing.T) {
 		t.Errorf("ReadFull returned %d bulk slices, want one per segment", len(resp.BulkVec))
 	}
 
-	// ReadTable: same table, zero bulk bytes.
-	q.Mode = proto.ReadTable
-	probe, err := p.handleReadSegments(ctx, rpc.Message{Meta: q.Encode()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.BulkLen() != 0 {
-		t.Errorf("ReadTable carried %d bulk bytes", probe.BulkLen())
-	}
-	if !bytes.Equal(probe.Meta, resp.Meta) {
-		t.Error("ReadTable table differs from ReadFull table")
-	}
-
-	// ReadRange: every sub-range of the consolidated payload matches the
-	// flat concatenation, including ranges straddling segment boundaries.
-	total := uint64(len(flat))
-	for _, r := range [][2]uint64{{0, total}, {0, 1}, {total - 1, 1}, {2, 7}, {5, total - 5}} {
-		q2 := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs, Mode: proto.ReadRange, RangeOff: r[0], RangeLen: r[1]}
-		resp, err := p.handleReadSegments(ctx, rpc.Message{Meta: q2.Encode()})
-		if err != nil {
-			t.Fatalf("range [%d,+%d): %v", r[0], r[1], err)
+	// Only the full read exists: the retired striped modes (1 = table
+	// probe, 2 = byte range) and unknown modes are rejected with the typed
+	// mode error, never served a full payload. The mode byte leads the
+	// 17-byte block an older striping client appended.
+	for _, mode := range []byte{1, 2, 99} {
+		raw := append(q.Encode(), mode)
+		raw = append(raw, make([]byte, 16)...)
+		resp, err := p.handleReadSegments(ctx, rpc.Message{Meta: raw})
+		if !errors.Is(err, proto.ErrReadMode) {
+			t.Errorf("mode %d: err = %v, want ErrReadMode", mode, err)
 		}
-		if !bytes.Equal(resp.BulkFlat(), flat[r[0]:r[0]+r[1]]) {
-			t.Errorf("range [%d,+%d) mismatch", r[0], r[1])
+		if resp.BulkLen() != 0 {
+			t.Errorf("mode %d: served %d bulk bytes", mode, resp.BulkLen())
 		}
-	}
-
-	// Out-of-bounds range and unknown mode are rejected.
-	bad := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs, Mode: proto.ReadRange, RangeOff: total, RangeLen: 1}
-	if _, err := p.handleReadSegments(ctx, rpc.Message{Meta: bad.Encode()}); err == nil {
-		t.Error("out-of-bounds range accepted")
-	}
-	unk := &proto.ReadSegmentsReq{Owner: 7, Vertices: vs, Mode: 99}
-	if _, err := p.handleReadSegments(ctx, rpc.Message{Meta: unk.Encode()}); err == nil {
-		t.Error("unknown mode accepted")
-	}
-}
-
-func TestSliceRange(t *testing.T) {
-	table := []proto.SegmentRef{{Vertex: 0, Length: 4}, {Vertex: 1, Length: 0}, {Vertex: 2, Length: 3}}
-	segs := [][]byte{{1, 2, 3, 4}, nil, {5, 6, 7}}
-	for off := uint64(0); off <= 7; off++ {
-		for l := uint64(0); off+l <= 7; l++ {
-			views, err := sliceRange(table, segs, off, l)
-			if err != nil {
-				t.Fatalf("[%d,+%d): %v", off, l, err)
-			}
-			var got []byte
-			for _, v := range views {
-				got = append(got, v...)
-			}
-			want := []byte{1, 2, 3, 4, 5, 6, 7}[off : off+l]
-			if !bytes.Equal(got, want) {
-				t.Fatalf("[%d,+%d) = %v, want %v", off, l, got, want)
-			}
-		}
-	}
-	if _, err := sliceRange(table, segs, 7, 1); err == nil {
-		t.Error("overrun accepted")
-	}
-	if _, err := sliceRange(table, segs, ^uint64(0), 2); err == nil {
-		t.Error("offset overflow accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 //     whether the handler executed. Retrying is reasonable, but only for
 //     idempotent operations or requests carrying a dedup ID (proto attaches
 //     one to IncRef/DecRef/Retire/StoreModel so providers can answer a
-//     retry from their dedup table instead of re-executing).
+//     retry from their retry-reply cache instead of re-executing).
 //   - Permanent: the handler executed and returned an application error
 //     (remoteError), or the caller itself gave up (context.Canceled, a
 //     closed local connection). Retrying would re-fail or is unwanted.

@@ -353,8 +353,9 @@ func (c *tcpConn) Close() error {
 
 // Pool multiplexes concurrent calls over up to size physical connections to
 // one address, created lazily. It lets a client keep several bulk
-// operations to the same provider in flight — the transport-level
-// parallelism the client's striped reads fan out over.
+// operations to the same provider in flight — concurrent owner-group
+// reads and replicated write legs each get their own socket instead of
+// queueing behind one another's payloads.
 type Pool struct {
 	addr string
 	dial func(addr string) (Conn, error)
